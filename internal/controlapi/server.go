@@ -194,6 +194,13 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
+	// Build the job's telemetry sinks before taking s.mu: every Status
+	// poll contends for it. A deduplicated resubmission discards them.
+	rec := telemetry.NewRecorder(0)
+	rec.Exclude(telemetry.KindRetire) // like every batch CLI: counts stay complete
+	reg := telemetry.NewRegistry()
+	tracker := sched.NewTracker(reg, rec, s.opts.Log)
+
 	s.mu.Lock()
 	if spec.ID != "" {
 		if existing, ok := s.jobs[spec.ID]; ok {
@@ -216,14 +223,11 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, fmt.Sprintf("controlapi: %v", err))
 		return
 	}
-	rec := telemetry.NewRecorder(0)
-	rec.Exclude(telemetry.KindRetire) // like every batch CLI: counts stay complete
-	reg := telemetry.NewRegistry()
 	jctx, jcancel := context.WithCancel(s.baseCtx)
 	j := &job{
 		id: id, dir: dir, spec: spec,
 		rec: rec, reg: reg,
-		tracker: sched.NewTracker(reg, rec, s.opts.Log),
+		tracker: tracker,
 		ctx:     jctx, cancel: jcancel,
 		done:    make(chan struct{}),
 		state:   StateQueued,

@@ -294,8 +294,13 @@ func (m *Module) directive(cur *section, text string, line int) error {
 				return err
 			}
 		}
-		for i := int64(0); i < n; i++ {
-			m.data = append(m.data, byte(fill))
+		start := len(m.data)
+		m.data = append(m.data, make([]byte, n)...)
+		if fill != 0 {
+			pad := m.data[start:]
+			for i := range pad {
+				pad[i] = byte(fill)
+			}
 		}
 	case ".ascii", ".asciz":
 		i := strings.Index(text, "\"")

@@ -1,5 +1,9 @@
-// Package mem implements the simulated machine's physical memory: a flat
-// little-endian byte array with per-page R/W/X permissions. Page
+// Package mem implements the simulated machine's physical memory: a
+// sparse little-endian address space of page frames with per-page R/W/X
+// permissions. A frame is allocated the first time a store lands on its
+// page; until then the page reads as zero from one shared read-only zero
+// page, so building a machine costs the pages it touches, not its
+// capacity. Page
 // permissions are the substrate for the paper's DEP (Data Execution
 // Prevention) discussion: code pages are mapped R+X, stack and data pages
 // R+W, so an overflowed stack cannot be executed directly — which is
@@ -8,6 +12,7 @@
 package mem
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 )
@@ -82,11 +87,12 @@ func (f *Fault) Error() string {
 	return fmt.Sprintf("mem: %s fault at %#x", f.Kind, f.Addr)
 }
 
-// Memory is a flat simulated physical memory.
+// Memory is a sparse simulated physical memory.
 type Memory struct {
-	data  []byte
-	perms []Perm   // one per page
-	gen   []uint64 // per-page write generation (see PageGen)
+	frames []*[PageSize]byte // one per page; &zeroPage until first written
+	perms  []Perm            // one per page
+	gen    []uint64          // per-page write generation (see PageGen)
+	size   uint64
 
 	// OnWrite, when set, observes every successful user-mode store
 	// (watchpoints, overflow detectors). It runs after the bytes land.
@@ -94,19 +100,86 @@ type Memory struct {
 	OnWrite func(addr uint64, n int)
 }
 
+// zeroPage backs every never-written page. It is shared by all memories
+// and never written: stores go through frame, which swaps in a private
+// frame first.
+var zeroPage [PageSize]byte
+
 // New creates a memory of the given size (rounded up to a whole number of
-// pages). All pages start unmapped (no permissions).
+// pages). All pages start unmapped (no permissions) and read as zero; no
+// page frame is allocated until a store reaches it.
 func New(size uint64) *Memory {
 	size = (size + PageSize - 1) &^ (PageSize - 1)
+	frames := make([]*[PageSize]byte, size/PageSize)
+	for i := range frames {
+		frames[i] = &zeroPage
+	}
 	return &Memory{
-		data:  make([]byte, size),
-		perms: make([]Perm, size/PageSize),
-		gen:   make([]uint64, size/PageSize),
+		frames: frames,
+		perms:  make([]Perm, size/PageSize),
+		gen:    make([]uint64, size/PageSize),
+		size:   size,
 	}
 }
 
+// frame returns page pg's private frame for writing, allocating it on
+// the page's first store.
+func (m *Memory) frame(pg uint64) *[PageSize]byte {
+	f := m.frames[pg]
+	if f == &zeroPage {
+		f = new([PageSize]byte)
+		m.frames[pg] = f
+	}
+	return f
+}
+
+// copyOut fills dst from memory starting at addr, frame by frame.
+// Callers have already bounds-checked the range.
+func (m *Memory) copyOut(dst []byte, addr uint64) {
+	for len(dst) > 0 {
+		off := addr % PageSize
+		n := copy(dst, m.frames[addr/PageSize][off:])
+		dst, addr = dst[n:], addr+uint64(n)
+	}
+}
+
+// copyIn stores src into memory starting at addr, frame by frame. An
+// all-zero chunk landing on a never-written page leaves it on the zero
+// page, so mapping a zero-filled data section allocates nothing. Callers
+// have already bounds-checked the range and bump generations themselves.
+func (m *Memory) copyIn(addr uint64, src []byte) {
+	for len(src) > 0 {
+		pg, off := addr/PageSize, addr%PageSize
+		n := min(uint64(len(src)), PageSize-off)
+		if m.frames[pg] != &zeroPage || !bytes.Equal(src[:n], zeroPage[:n]) {
+			copy(m.frame(pg)[off:], src[:n])
+		}
+		src, addr = src[n:], addr+n
+	}
+}
+
+// FirstDiff returns the lowest address at which a and b hold different
+// bytes, comparing page by page and skipping pages that neither memory
+// has a frame for. ok is false when the contents are identical; a size
+// mismatch is the caller's to report (only the common prefix is
+// compared).
+func FirstDiff(a, b *Memory) (addr uint64, ok bool) {
+	for pg := range min(len(a.frames), len(b.frames)) {
+		fa, fb := a.frames[pg], b.frames[pg]
+		if fa == fb || *fa == *fb {
+			continue
+		}
+		for i := range fa {
+			if fa[i] != fb[i] {
+				return uint64(pg)*PageSize + uint64(i), true
+			}
+		}
+	}
+	return 0, false
+}
+
 // Size returns the memory size in bytes.
-func (m *Memory) Size() uint64 { return uint64(len(m.data)) }
+func (m *Memory) Size() uint64 { return m.size }
 
 // Protect sets the permissions of every page overlapping [addr, addr+n).
 func (m *Memory) Protect(addr, n uint64, p Perm) error {
@@ -203,7 +276,7 @@ func (m *Memory) Read8(addr uint64) (byte, error) {
 	if err := m.check(addr, 1, PermRead, FaultRead); err != nil {
 		return 0, err
 	}
-	return m.data[addr], nil
+	return m.frames[addr/PageSize][addr%PageSize], nil
 }
 
 // Write8 stores one byte.
@@ -211,8 +284,9 @@ func (m *Memory) Write8(addr uint64, v byte) error {
 	if err := m.check(addr, 1, PermWrite, FaultWrite); err != nil {
 		return err
 	}
-	m.data[addr] = v
-	m.gen[addr/PageSize]++
+	pg := addr / PageSize
+	m.frame(pg)[addr%PageSize] = v
+	m.gen[pg]++
 	if m.OnWrite != nil {
 		m.OnWrite(addr, 1)
 	}
@@ -232,8 +306,16 @@ func (m *Memory) Write64(addr uint64, v uint64) error {
 	if err := m.check(addr, 8, PermWrite, FaultWrite); err != nil {
 		return err
 	}
-	binary.LittleEndian.PutUint64(m.data[addr:addr+8], v)
-	m.bumpGen(addr, 8)
+	if pg, off := addr/PageSize, addr%PageSize; off <= PageSize-8 {
+		binary.LittleEndian.PutUint64(m.frame(pg)[off:], v)
+		m.gen[pg]++
+	} else {
+		// Page-straddling word: the two-frame slow path.
+		var b [8]byte
+		binary.LittleEndian.PutUint64(b[:], v)
+		m.copyIn(addr, b[:])
+		m.bumpGen(addr, 8)
+	}
 	if m.OnWrite != nil {
 		m.OnWrite(addr, 8)
 	}
@@ -241,11 +323,19 @@ func (m *Memory) Write64(addr uint64, v uint64) error {
 }
 
 // Fetch reads n bytes for instruction fetch; the page must be executable.
+// A range inside one page is a zero-copy view (of the shared zero page
+// when the page was never written), so callers must not write through
+// it; a page-straddling range is copied out of its two frames.
 func (m *Memory) Fetch(addr, n uint64) ([]byte, error) {
 	if err := m.check(addr, n, PermExec, FaultExec); err != nil {
 		return nil, err
 	}
-	return m.data[addr : addr+n], nil
+	if off := addr % PageSize; off+n <= PageSize {
+		return m.frames[addr/PageSize][off : off+n], nil
+	}
+	out := make([]byte, n)
+	m.copyOut(out, addr)
+	return out, nil
 }
 
 // FetchNoCopy is the predecoder's fetch: it returns a zero-copy view of n
@@ -254,7 +344,10 @@ func (m *Memory) Fetch(addr, n uint64) ([]byte, error) {
 // detect staleness with a single PageGen comparison. The range must lie
 // within one page (callers fall back to Fetch for the rare straddling
 // access); a crossing range returns an unmapped fault rather than a
-// half-checked view.
+// half-checked view. A never-written page yields a view of the shared
+// zero page; the first store to it swaps in a private frame and bumps
+// the generation, so a cached decode goes stale exactly as for any
+// other store.
 func (m *Memory) FetchNoCopy(addr, n uint64) ([]byte, uint64, error) {
 	end := addr + n
 	pg := addr / PageSize
@@ -267,7 +360,8 @@ func (m *Memory) FetchNoCopy(addr, n uint64) ([]byte, uint64, error) {
 		}
 		return nil, 0, &Fault{Kind: FaultExec, Addr: addr}
 	}
-	return m.data[addr:end], m.gen[pg], nil
+	off := addr % PageSize
+	return m.frames[pg][off : off+n], m.gen[pg], nil
 }
 
 // ReadBytes copies n bytes starting at addr.
@@ -276,7 +370,7 @@ func (m *Memory) ReadBytes(addr, n uint64) ([]byte, error) {
 		return nil, err
 	}
 	out := make([]byte, n)
-	copy(out, m.data[addr:addr+n])
+	m.copyOut(out, addr)
 	return out, nil
 }
 
@@ -288,7 +382,7 @@ func (m *Memory) WriteBytes(addr uint64, b []byte) error {
 	if err := m.check(addr, uint64(len(b)), PermWrite, FaultWrite); err != nil {
 		return err
 	}
-	copy(m.data[addr:], b)
+	m.copyIn(addr, b)
 	m.bumpGen(addr, uint64(len(b)))
 	if m.OnWrite != nil {
 		m.OnWrite(addr, len(b))
@@ -314,7 +408,8 @@ func (m *Memory) ReadCString(addr uint64, max int) (string, error) {
 
 // LoadRaw writes bytes bypassing permission checks. It is the loader's
 // privileged channel ("kernel mode"): used to map images and build the
-// initial stack before user-mode execution begins.
+// initial stack before user-mode execution begins. Zero bytes landing on
+// a never-written page allocate no frame.
 func (m *Memory) LoadRaw(addr uint64, b []byte) error {
 	if len(b) == 0 {
 		return nil
@@ -323,7 +418,7 @@ func (m *Memory) LoadRaw(addr uint64, b []byte) error {
 	if end < addr || end > m.Size() {
 		return &Fault{Kind: FaultUnmapped, Addr: addr}
 	}
-	copy(m.data[addr:], b)
+	m.copyIn(addr, b)
 	m.bumpGen(addr, uint64(len(b)))
 	return nil
 }
@@ -336,7 +431,7 @@ func (m *Memory) PeekRaw(addr, n uint64) ([]byte, error) {
 		return nil, &Fault{Kind: FaultUnmapped, Addr: addr}
 	}
 	out := make([]byte, n)
-	copy(out, m.data[addr:end])
+	m.copyOut(out, addr)
 	return out, nil
 }
 
@@ -349,5 +444,11 @@ func (m *Memory) Peek64(addr uint64) (uint64, error) {
 }
 
 func (m *Memory) raw64(addr uint64) uint64 {
-	return binary.LittleEndian.Uint64(m.data[addr : addr+8])
+	if pg, off := addr/PageSize, addr%PageSize; off <= PageSize-8 {
+		return binary.LittleEndian.Uint64(m.frames[pg][off:])
+	}
+	// Page-straddling word: the two-frame slow path.
+	var b [8]byte
+	m.copyOut(b[:], addr)
+	return binary.LittleEndian.Uint64(b[:])
 }

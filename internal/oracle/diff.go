@@ -177,14 +177,13 @@ func comparePage(c *cpu.CPU, o *Machine, pg uint64) string {
 }
 
 func compareAllMemory(c *cpu.CPU, o *Machine) string {
-	a, _ := c.Mem.PeekRaw(0, c.Mem.Size())
-	b, _ := o.Mem.PeekRaw(0, o.Mem.Size())
-	if len(a) != len(b) {
-		return fmt.Sprintf("memory sizes differ: core=%d oracle=%d", len(a), len(b))
+	if c.Mem.Size() != o.Mem.Size() {
+		return fmt.Sprintf("memory sizes differ: core=%d oracle=%d", c.Mem.Size(), o.Mem.Size())
 	}
-	if !bytes.Equal(a, b) {
-		i := firstDiff(a, b)
-		return fmt.Sprintf("final memory sweep: mem[%#x]: core=%#02x oracle=%#02x", i, a[i], b[i])
+	if i, ok := mem.FirstDiff(c.Mem, o.Mem); ok {
+		a, _ := c.Mem.PeekRaw(i, 1)
+		b, _ := o.Mem.PeekRaw(i, 1)
+		return fmt.Sprintf("final memory sweep: mem[%#x]: core=%#02x oracle=%#02x", i, a[0], b[0])
 	}
 	return ""
 }

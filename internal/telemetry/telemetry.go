@@ -1,5 +1,5 @@
 // Package telemetry is the observability spine of the simulated
-// platform: a fixed-capacity ring-buffer recorder for typed
+// platform: a bounded ring-buffer recorder for typed
 // micro-architectural events, a metrics registry unifying the scattered
 // per-subsystem counters behind named values, exporters (Chrome
 // trace-event JSON for Perfetto, compact JSONL), and per-run manifests.
@@ -135,26 +135,33 @@ type Event struct {
 // DefaultCapacity is the ring size NewRecorder uses for capacity <= 0.
 const DefaultCapacity = 1 << 16
 
-// Recorder is the fixed-capacity event ring. A nil *Recorder is the
-// disabled state: every hook site guards with a nil check and skips all
-// work. All methods are safe for concurrent use.
+// Recorder is the bounded event ring. A nil *Recorder is the disabled
+// state: every hook site guards with a nil check and skips all work. All
+// methods are safe for concurrent use.
+//
+// Capacity is a bound, not an up-front allocation: the ring's storage
+// grows by append as events arrive, and only once it reaches capacity
+// does it wrap and overwrite the oldest entry. A run that emits a few
+// dozen events pays for a few dozen.
 type Recorder struct {
-	mu     sync.Mutex
-	buf    []Event
-	head   int    // next write position
-	n      int    // live entries (<= len(buf))
-	seq    uint64 // events assigned a sequence number (stored kinds only)
-	mask   uint64 // kinds counted but not stored (bit k = Kind k excluded)
-	counts [NumKinds]uint64
+	mu       sync.Mutex
+	buf      []Event // grows by append up to capacity, then wraps
+	capacity int
+	head     int    // next write position once the ring is full
+	n        int    // live entries (<= len(buf))
+	seq      uint64 // events assigned a sequence number (stored kinds only)
+	mask     uint64 // kinds counted but not stored (bit k = Kind k excluded)
+	counts   [NumKinds]uint64
 }
 
 // NewRecorder builds a recorder holding the last capacity events
-// (DefaultCapacity when capacity <= 0).
+// (DefaultCapacity when capacity <= 0). No ring storage is allocated
+// until the first event is stored.
 func NewRecorder(capacity int) *Recorder {
 	if capacity <= 0 {
 		capacity = DefaultCapacity
 	}
-	return &Recorder{buf: make([]Event, capacity)}
+	return &Recorder{capacity: capacity}
 }
 
 // Exclude stops retaining the given kinds in the ring. Excluded kinds
@@ -185,13 +192,17 @@ func (r *Recorder) Emit(ev Event) {
 	}
 	ev.Seq = r.seq
 	r.seq++
-	r.buf[r.head] = ev
-	r.head++
-	if r.head == len(r.buf) {
-		r.head = 0
-	}
-	if r.n < len(r.buf) {
+	if r.n < r.capacity {
+		// Still growing: head stays 0, which is where the first wrapped
+		// write lands once the ring is full.
+		r.buf = append(r.buf, ev)
 		r.n++
+	} else {
+		r.buf[r.head] = ev
+		r.head++
+		if r.head == r.capacity {
+			r.head = 0
+		}
 	}
 	r.mu.Unlock()
 }
