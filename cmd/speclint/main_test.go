@@ -1,7 +1,9 @@
 package main
 
 import (
+	"crypto/sha256"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -138,6 +140,34 @@ func TestJSONDeterministic(t *testing.T) {
 		} else if string(blob) != string(scanBase) {
 			t.Errorf("scan report differs between -workers 1 and %s", w)
 		}
+	}
+}
+
+// TestScanReportDigest pins the scan report across commits, not only
+// across worker counts: the bytes of `speclint scan -progen 48 -seed 1`
+// must hash to the digest checked in under testdata (the same file the
+// CI job verifies with sha256sum -c). A deliberate report change
+// re-baselines it.
+func TestScanReportDigest(t *testing.T) {
+	pin, err := os.ReadFile(filepath.Join("testdata", "scan-progen48-seed1.sha256"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fields := strings.Fields(string(pin))
+	if len(fields) != 2 {
+		t.Fatalf("digest file is not one sha256sum line: %q", pin)
+	}
+	path := filepath.Join(t.TempDir(), "scan.json")
+	var out strings.Builder
+	if err := run([]string{"scan", "-progen", "48", "-seed", "1", "-out", path}, &out); err != nil {
+		t.Fatalf("scan: %v\n%s", err, out.String())
+	}
+	blob, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprintf("%x", sha256.Sum256(blob)); got != fields[0] {
+		t.Fatalf("scan report sha256 %s, pinned %s", got, fields[0])
 	}
 }
 

@@ -43,9 +43,10 @@ func (r *Report) Leaks() []Finding {
 // assembles the report. It never executes the program.
 func Analyze(code []byte, base uint64, cfg Config, roots ...uint64) *Report {
 	cfg = cfg.withDefaults()
-	g := RecoverCFG(code, base, roots...)
+	d := decodeImage(code, base)
+	g := d.recoverCFG(roots...)
 	pass := runTaint(g, cfg)
-	gadgets := SummarizeGadgets(code, base, cfg.MaxGadgetLen)
+	gadgets := d.gadgets(cfg.MaxGadgetLen)
 	reachable := 0
 	for _, b := range g.Blocks {
 		if b.Reachable {

@@ -10,7 +10,9 @@ import (
 
 // Block is one basic block of recovered code: a maximal straight-line
 // run of valid instruction slots entered only at its first instruction.
-// Instruction i of the block sits at Start + i*isa.InstrSize.
+// Instruction i of the block sits at Start + i*isa.InstrSize. Instrs is
+// a capped window of the image's shared decode: append copies, but
+// writing an element in place would change every CFG of that image.
 type Block struct {
 	Start  uint64
 	Instrs []isa.Instruction
@@ -33,6 +35,50 @@ func (b *Block) End() uint64 { return b.Start + uint64(len(b.Instrs))*isa.InstrS
 // Terminal returns the block's last instruction.
 func (b *Block) Terminal() isa.Instruction { return b.Instrs[len(b.Instrs)-1] }
 
+// decoded is one code image decoded once: every whole aligned slot's
+// instruction and whether it decodes canonically, plus the ragged tail
+// length. CFG recovery, the gadget census and the taint pass all read
+// this one form; a corpus scan builds it once per image and shares it
+// read-only across the image's root shards.
+type decoded struct {
+	base      uint64
+	ins       []isa.Instruction // slot i sits at base + i*isa.InstrSize
+	valid     []bool            // slot i decodes canonically
+	truncated int
+}
+
+func decodeImage(code []byte, base uint64) *decoded {
+	n := len(code) / isa.InstrSize
+	d := &decoded{
+		base:      base,
+		ins:       make([]isa.Instruction, n),
+		valid:     make([]bool, n),
+		truncated: len(code) - n*isa.InstrSize,
+	}
+	for i := range d.ins {
+		if in, err := isa.Decode(code[i*isa.InstrSize:]); err == nil {
+			d.ins[i], d.valid[i] = in, true
+		}
+	}
+	return d
+}
+
+// slotIndex maps pc to its slot when pc is an aligned slot inside the
+// image.
+func (d *decoded) slotIndex(pc uint64) (int, bool) {
+	if pc < d.base || (pc-d.base)%isa.InstrSize != 0 {
+		return 0, false
+	}
+	i := int((pc - d.base) / isa.InstrSize)
+	if i >= len(d.ins) {
+		return 0, false
+	}
+	return i, true
+}
+
+// endsBlock reports whether op terminates a basic block.
+func endsBlock(op isa.Op) bool { return op.IsBranch() || op == isa.HALT }
+
 // CFG is the recovered control-flow graph of one code image.
 type CFG struct {
 	Base   uint64
@@ -52,7 +98,7 @@ type CFG struct {
 	// instruction slot (a truncated final instruction).
 	Truncated int
 
-	slots []isa.SlotDecode
+	code *decoded
 }
 
 // NumInstrs returns the total instruction count across all blocks.
@@ -83,28 +129,17 @@ func (g *CFG) BlockAt(pc uint64) (*Block, bool) {
 // InstrAt returns the instruction at pc when pc is an aligned, valid
 // slot inside the image.
 func (g *CFG) InstrAt(pc uint64) (isa.Instruction, bool) {
-	i, ok := g.slotIndex(pc)
-	if !ok || g.slots[i].Err != nil {
+	i, ok := g.code.slotIndex(pc)
+	if !ok || !g.code.valid[i] {
 		return isa.Instruction{}, false
 	}
-	return g.slots[i].In, true
-}
-
-func (g *CFG) slotIndex(pc uint64) (int, bool) {
-	if pc < g.Base || (pc-g.Base)%isa.InstrSize != 0 {
-		return 0, false
-	}
-	i := int((pc - g.Base) / isa.InstrSize)
-	if i >= len(g.slots) {
-		return 0, false
-	}
-	return i, true
+	return g.code.ins[i], true
 }
 
 // validPC reports whether pc is an aligned slot that decodes canonically.
 func (g *CFG) validPC(pc uint64) bool {
-	i, ok := g.slotIndex(pc)
-	return ok && g.slots[i].Err == nil
+	i, ok := g.code.slotIndex(pc)
+	return ok && g.code.valid[i]
 }
 
 // RecoverCFG rebuilds the control-flow graph of a code image loaded at
@@ -124,22 +159,24 @@ func (g *CFG) validPC(pc uint64) bool {
 // non-canonical byte frame, which the fixed-width ISA rejects by
 // construction.
 func RecoverCFG(code []byte, base uint64, roots ...uint64) *CFG {
-	slots, truncated := isa.DecodeSlots(code)
-	g := &CFG{
-		Base:      base,
-		Blocks:    map[uint64]*Block{},
-		Truncated: truncated,
-		slots:     slots,
-	}
-	n := len(slots)
+	return decodeImage(code, base).recoverCFG(roots...)
+}
+
+// recoverCFG is RecoverCFG over an already decoded image. It only reads
+// d, so root shards of one image may call it concurrently.
+func (d *decoded) recoverCFG(roots ...uint64) *CFG {
+	g := &CFG{Base: d.base, Truncated: d.truncated, code: d}
+	ins, valid := d.ins, d.valid
+	n := len(ins)
 
 	// Pass 1: leaders. A slot starts a block if it is a root, a direct
 	// branch target, the slot after any control transfer, or the first
-	// valid slot after invalid space (linear-sweep region starts).
+	// valid slot after invalid space (linear-sweep region starts). Only
+	// valid slots are ever marked.
 	leader := make([]bool, n)
 	invalid := map[uint64]bool{}
 	markTarget := func(pc uint64) {
-		if i, ok := g.slotIndex(pc); ok && slots[i].Err == nil {
+		if i, ok := d.slotIndex(pc); ok && valid[i] {
 			leader[i] = true
 			return
 		}
@@ -155,59 +192,62 @@ func RecoverCFG(code []byte, base uint64, roots ...uint64) *CFG {
 		markTarget(r)
 	}
 	for i := 0; i < n; i++ {
-		if slots[i].Err != nil {
+		if !valid[i] {
 			continue
 		}
-		if i == 0 || slots[i-1].Err != nil {
+		if i == 0 || !valid[i-1] {
 			leader[i] = true // region start under the linear sweep
 		}
-		in := slots[i].In
+		in := ins[i]
 		op := in.Op
 		switch {
 		case op == isa.JMP || op == isa.CALL || op.IsCondBranch():
 			markTarget(uint64(in.Imm))
 		case op == isa.CALLR || op == isa.JMPR || op == isa.RET:
-			g.IndirectSites = append(g.IndirectSites, base+uint64(i)*isa.InstrSize)
+			g.IndirectSites = append(g.IndirectSites, d.base+uint64(i)*isa.InstrSize)
 		}
-		if op.IsBranch() || op == isa.HALT {
-			if i+1 < n && slots[i+1].Err == nil {
-				leader[i+1] = true
-			}
+		if endsBlock(op) && i+1 < n && valid[i+1] {
+			leader[i+1] = true
 		}
 	}
 
-	// Pass 2: block formation over each maximal valid run.
+	// Pass 2: block formation over each maximal valid run. Blocks live
+	// in one slab and are visited in slot order, so Order comes out
+	// ascending.
+	nb := 0
+	for _, l := range leader {
+		if l {
+			nb++
+		}
+	}
+	blocks := make([]Block, 0, nb)
+	g.Blocks = make(map[uint64]*Block, nb)
+	g.Order = make([]uint64, 0, nb)
 	for i := 0; i < n; i++ {
-		if slots[i].Err != nil || !leader[i] {
+		if !leader[i] {
 			continue
 		}
-		start := base + uint64(i)*isa.InstrSize
-		b := &Block{Start: start}
 		j := i
-		for {
-			b.Instrs = append(b.Instrs, slots[j].In)
-			op := slots[j].In.Op
-			if op.IsBranch() || op == isa.HALT {
-				break
-			}
-			if j+1 >= n || slots[j+1].Err != nil || leader[j+1] {
-				break
-			}
+		for !endsBlock(ins[j].Op) && j+1 < n && valid[j+1] && !leader[j+1] {
 			j++
 		}
-		g.Blocks[start] = b
+		start := d.base + uint64(i)*isa.InstrSize
+		blocks = append(blocks, Block{Start: start, Instrs: ins[i : j+1 : j+1]})
+		g.Blocks[start] = &blocks[len(blocks)-1]
 		g.Order = append(g.Order, start)
 	}
-	sort.Slice(g.Order, func(a, b int) bool { return g.Order[a] < g.Order[b] })
 
-	// Pass 3: successor edges.
-	for _, start := range g.Order {
-		b := g.Blocks[start]
+	// Pass 3: successor edges, at most two per block, carved from one
+	// buffer as capped windows.
+	succs := make([]uint64, 0, 2*nb)
+	for k := range blocks {
+		b := &blocks[k]
 		term := b.Terminal()
 		fall := b.End()
+		lo := len(succs)
 		addSucc := func(pc uint64) {
 			if _, ok := g.Blocks[pc]; ok {
-				b.Succs = append(b.Succs, pc)
+				succs = append(succs, pc)
 			}
 		}
 		switch op := term.Op; {
@@ -225,6 +265,9 @@ func RecoverCFG(code []byte, base uint64, roots ...uint64) *CFG {
 			// no successors
 		default:
 			addSucc(fall) // block split by a leader mid-run
+		}
+		if hi := len(succs); hi > lo {
+			b.Succs = succs[lo:hi:hi]
 		}
 	}
 

@@ -1,7 +1,9 @@
 package analysis
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"repro/internal/isa"
 )
@@ -72,60 +74,39 @@ type GadgetSummary struct {
 // byte-compatible with the dynamic scanner's ordering so the two can be
 // cross-checked entry for entry.
 func SummarizeGadgets(code []byte, base uint64, maxLen int) []GadgetSummary {
+	return decodeImage(code, base).gadgets(maxLen)
+}
+
+// gadgets is SummarizeGadgets over an already decoded image. Each
+// gadget body is a window of the shared instruction array.
+func (d *decoded) gadgets(maxLen int) []GadgetSummary {
 	if maxLen < 1 {
 		maxLen = 1
 	}
-	slots, _ := isa.DecodeSlots(code)
-	n := len(slots)
 	var out []GadgetSummary
-	for i := 0; i < n; i++ {
-		if slots[i].Err != nil || slots[i].In.Op != isa.RET {
+	for i, in := range d.ins {
+		if !d.valid[i] || in.Op != isa.RET {
 			continue
 		}
-		var group []GadgetSummary
-		for back := 0; back < maxLen; back++ {
-			start := i - back
-			if start < 0 {
-				break
-			}
-			ok := true
-			for j := start; j < i; j++ {
-				if slots[j].Err != nil || slots[j].In.Op.IsBranch() || slots[j].In.Op == isa.HALT {
-					ok = false
-					break
-				}
-			}
-			if !ok {
-				break
-			}
-			instrs := make([]isa.Instruction, 0, back+1)
-			for j := start; j <= i; j++ {
-				instrs = append(instrs, slots[j].In)
-			}
-			group = append(group, summarize(base+uint64(start)*isa.InstrSize, instrs))
+		// The longest suffix starts at lo: every slot before the RET
+		// must be valid straight-line code.
+		lo := i
+		for lo > 0 && i-lo+1 < maxLen && d.valid[lo-1] && !endsBlock(d.ins[lo-1].Op) {
+			lo--
 		}
-		// group was built longest-last? No: back grows, so start
-		// decreases — addresses descend. Reverse for ascending order.
-		for l, r := 0, len(group)-1; l < r; l, r = l+1, r-1 {
-			group[l], group[r] = group[r], group[l]
+		for start := lo; start <= i; start++ {
+			out = append(out, summarize(d.base+uint64(start)*isa.InstrSize, d.ins[start:i+1]))
 		}
-		out = append(out, group...)
 	}
-	// Reorder globally: suffix groups of later RETs can start before a
-	// previous RET's address when regions overlap; sort for the
-	// documented order.
-	sortSummaries(out)
+	// Suffix groups of a later RET can start before an earlier RET's
+	// address when regions overlap, so restore the documented order.
+	slices.SortStableFunc(out, func(a, b GadgetSummary) int {
+		if c := cmp.Compare(a.Addr, b.Addr); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.Len, b.Len)
+	})
 	return out
-}
-
-func sortSummaries(s []GadgetSummary) {
-	// insertion-style stable sort by (Addr, Len); gadget counts are
-	// small and mostly ordered already.
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && (s[j].Addr < s[j-1].Addr || (s[j].Addr == s[j-1].Addr && s[j].Len < s[j-1].Len)); j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }
 
 // summarize abstractly executes one gadget body. The abstract stack

@@ -5,8 +5,6 @@ import (
 
 	"repro/internal/gadget"
 	"repro/internal/isa"
-	"repro/internal/mibench"
-	"repro/internal/rop"
 )
 
 const scanLen = 4
@@ -171,16 +169,8 @@ func wordsEqual(a, b []uint64) bool {
 func hostImages(t *testing.T) []*isa.Image {
 	t.Helper()
 	var imgs []*isa.Image
-	for _, w := range append(mibench.Suite(), mibench.Extended()...) {
-		mod, err := w.HostModule(rop.HostOptions{})
-		if err != nil {
-			t.Fatalf("%s: %v", w.Name, err)
-		}
-		img, err := mod.Link(0x100000)
-		if err != nil {
-			t.Fatalf("%s: %v", w.Name, err)
-		}
-		imgs = append(imgs, img)
+	for _, im := range scanSetHosts(t) {
+		imgs = append(imgs, im.Img)
 	}
 	return imgs
 }

@@ -67,32 +67,65 @@ func imageRoots(img *isa.Image) []uint64 {
 	return out
 }
 
+// checkScanImages rejects a corpus the report validator would refuse —
+// empty or duplicate names — and entries with a nil Img, before any
+// shard or confirmation run is spent on it.
+func checkScanImages(images []ScanImage) error {
+	names := make(map[string]bool, len(images))
+	for i, im := range images {
+		if im.Name == "" {
+			return fmt.Errorf("analysis: image %d has empty name", i)
+		}
+		if names[im.Name] {
+			return fmt.Errorf("analysis: duplicate image %q", im.Name)
+		}
+		names[im.Name] = true
+		if im.Img == nil {
+			return fmt.Errorf("analysis: image %q has nil Img", im.Name)
+		}
+	}
+	return nil
+}
+
+// scanShard is one (image, root) task: CFG recovery from the shared
+// decode, the taint pass from that root, and ranking. It runs no gadget
+// census — ranking never reads one.
+func scanShard(name string, d *decoded, cfg Config, root uint64) []RankedFinding {
+	g := d.recoverCFG(root)
+	pass := runTaint(g, cfg.withDefaults())
+	return RankFindings(name, &Report{CFG: g, Findings: pass.findings()})
+}
+
 // ScanCorpus runs the sharded whole-corpus scan: per-(image, root)
 // static taint tasks fan out over the sched pool (workers as in
 // sched.Workers; the context's telemetry and progress pool propagate to
 // the workers), confirmation runs follow for images that carry a spec,
 // and the merged, deduplicated, ranked report comes back in canonical
 // form. The policy string is recorded in the report header and must be
-// one of the Policy constants.
+// one of the Policy constants. Each image is decoded once per call,
+// before the fan-out, and its root shards share that form read-only.
 func ScanCorpus(ctx context.Context, policy string, images []ScanImage, workers int) (*FindingsReport, error) {
+	if err := checkScanImages(images); err != nil {
+		return nil, err
+	}
 	type task struct {
 		img  int
 		root uint64
 	}
 	var tasks []task
-	rootCount := make([]int, len(images))
+	codes := make([]*decoded, len(images))
+	roots := make([][]uint64, len(images))
 	for i, im := range images {
-		roots := imageRoots(im.Img)
-		rootCount[i] = len(roots)
-		for _, r := range roots {
+		codes[i] = decodeImage(im.Img.Code, im.Img.Base)
+		roots[i] = imageRoots(im.Img)
+		for _, r := range roots[i] {
 			tasks = append(tasks, task{i, r})
 		}
 	}
 	shards, err := sched.Map(ctx, workers, len(tasks), func(_ context.Context, i int) ([]RankedFinding, error) {
 		t := tasks[i]
 		im := images[t.img]
-		rep := Analyze(im.Img.Code, im.Img.Base, im.Cfg, t.root)
-		return RankFindings(im.Name, rep), nil
+		return scanShard(im.Name, codes[t.img], im.Cfg, t.root), nil
 	})
 	if err != nil {
 		return nil, err
@@ -151,13 +184,13 @@ func ScanCorpus(ctx context.Context, policy string, images []ScanImage, workers 
 	}
 	rep := &FindingsReport{Schema: FindingsSchema, Policy: policy, Findings: all}
 	for i, im := range images {
-		g := RecoverCFG(im.Img.Code, im.Img.Base, imageRoots(im.Img)...)
+		g := codes[i].recoverCFG(roots[i]...)
 		rep.Images = append(rep.Images, ImageSummary{
 			Name:      im.Name,
 			Base:      im.Img.Base,
 			NumInstrs: g.NumInstrs(),
 			NumBlocks: len(g.Blocks),
-			Roots:     rootCount[i],
+			Roots:     len(roots[i]),
 			Attack:    im.Attack,
 			Findings:  perImage[im.Name],
 		})

@@ -41,7 +41,7 @@ type Cache struct {
 	lineSize uint64
 	sets     uint64
 	ways     int
-	lines    [][]line // [set][way]
+	lines    []line // set-major: set s occupies lines[s*ways : (s+1)*ways]
 	stamp    uint64
 	stats    Stats
 }
@@ -64,10 +64,7 @@ func NewCache(name string, size, lineSize uint64, ways int) (*Cache, error) {
 		return nil, fmt.Errorf("cache %s: set count %d not a power of two", name, sets)
 	}
 	c := &Cache{name: name, lineSize: lineSize, sets: sets, ways: ways}
-	c.lines = make([][]line, sets)
-	for i := range c.lines {
-		c.lines[i] = make([]line, ways)
-	}
+	c.lines = make([]line, sets*uint64(ways))
 	return c, nil
 }
 
@@ -97,12 +94,18 @@ func (c *Cache) index(addr uint64) (set, tag uint64) {
 	return lineAddr % c.sets, lineAddr / c.sets
 }
 
+// set returns the ways of one set as a window of the flat line array.
+func (c *Cache) setLines(set uint64) []line {
+	lo := int(set) * c.ways
+	return c.lines[lo : lo+c.ways : lo+c.ways]
+}
+
 // Lookup probes the cache without modifying contents or stats. It
 // reports whether the line holding addr is present.
 func (c *Cache) Lookup(addr uint64) bool {
 	set, tag := c.index(addr)
-	for i := range c.lines[set] {
-		if c.lines[set][i].valid && c.lines[set][i].tag == tag {
+	for _, l := range c.setLines(set) {
+		if l.valid && l.tag == tag {
 			return true
 		}
 	}
@@ -116,7 +119,7 @@ func (c *Cache) Access(addr uint64) bool {
 	c.stamp++
 	c.stats.Accesses++
 	set, tag := c.index(addr)
-	ways := c.lines[set]
+	ways := c.setLines(set)
 	for i := range ways {
 		if ways[i].valid && ways[i].tag == tag {
 			ways[i].lru = c.stamp
@@ -145,9 +148,10 @@ fill:
 // Flush invalidates the line containing addr, if present.
 func (c *Cache) Flush(addr uint64) {
 	set, tag := c.index(addr)
-	for i := range c.lines[set] {
-		if c.lines[set][i].valid && c.lines[set][i].tag == tag {
-			c.lines[set][i].valid = false
+	ways := c.setLines(set)
+	for i := range ways {
+		if ways[i].valid && ways[i].tag == tag {
+			ways[i].valid = false
 			c.stats.Flushes++
 			return
 		}
@@ -164,20 +168,19 @@ func (c *Cache) EvictAt(set uint64, way int) bool {
 	if set >= c.sets || way < 0 || way >= c.ways {
 		return false
 	}
-	if !c.lines[set][way].valid {
+	l := &c.lines[int(set)*c.ways+way]
+	if !l.valid {
 		return false
 	}
-	c.lines[set][way].valid = false
+	l.valid = false
 	c.stats.Evicts++
 	return true
 }
 
 // FlushAll invalidates every line (used between experiment runs).
 func (c *Cache) FlushAll() {
-	for s := range c.lines {
-		for w := range c.lines[s] {
-			c.lines[s][w].valid = false
-		}
+	for i := range c.lines {
+		c.lines[i].valid = false
 	}
 }
 

@@ -235,3 +235,21 @@ func TestEvictAtBounds(t *testing.T) {
 		t.Error("line survived EvictAt sweep")
 	}
 }
+
+// TestDefaultHierarchyAllocs: every machine builds a hierarchy, so its
+// construction stays a handful of allocations (the hierarchy, two
+// levels, two flat line arrays) rather than one per set.
+func TestDefaultHierarchyAllocs(t *testing.T) {
+	if n := testing.AllocsPerRun(20, func() { DefaultHierarchy() }); n > 8 {
+		t.Fatalf("DefaultHierarchy made %.0f allocations, budget 8", n)
+	}
+}
+
+func BenchmarkDefaultHierarchy(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		hierarchySink = DefaultHierarchy()
+	}
+}
+
+var hierarchySink *Hierarchy
