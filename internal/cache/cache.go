@@ -11,11 +11,14 @@ import (
 	"repro/internal/telemetry"
 )
 
-// Line is one cache line's metadata.
+// line is one cache line's metadata: 16 bytes, so an 8-way set spans
+// two host cache lines. lru == 0 marks an invalid line. That is safe
+// because every fill stamps lru with the level's pre-incremented access
+// counter (>= 1), invalidation zeroes it, and victim selection takes an
+// invalid way before it compares any LRU stamps.
 type line struct {
-	valid bool
-	tag   uint64
-	lru   uint64 // last-touch stamp; larger = more recent
+	tag uint64
+	lru uint64 // last-touch stamp; larger = more recent, 0 = invalid
 }
 
 // Stats counts the traffic seen by one cache level.
@@ -105,7 +108,7 @@ func (c *Cache) setLines(set uint64) []line {
 func (c *Cache) Lookup(addr uint64) bool {
 	set, tag := c.index(addr)
 	for _, l := range c.setLines(set) {
-		if l.valid && l.tag == tag {
+		if l.lru != 0 && l.tag == tag {
 			return true
 		}
 	}
@@ -121,7 +124,7 @@ func (c *Cache) Access(addr uint64) bool {
 	set, tag := c.index(addr)
 	ways := c.setLines(set)
 	for i := range ways {
-		if ways[i].valid && ways[i].tag == tag {
+		if ways[i].lru != 0 && ways[i].tag == tag {
 			ways[i].lru = c.stamp
 			c.stats.Hits++
 			return true
@@ -131,7 +134,7 @@ func (c *Cache) Access(addr uint64) bool {
 	// Fill: choose invalid way, else LRU victim.
 	victim := 0
 	for i := range ways {
-		if !ways[i].valid {
+		if ways[i].lru == 0 {
 			victim = i
 			goto fill
 		}
@@ -141,7 +144,7 @@ func (c *Cache) Access(addr uint64) bool {
 	}
 	c.stats.Evicts++
 fill:
-	ways[victim] = line{valid: true, tag: tag, lru: c.stamp}
+	ways[victim] = line{tag: tag, lru: c.stamp}
 	return false
 }
 
@@ -150,8 +153,8 @@ func (c *Cache) Flush(addr uint64) {
 	set, tag := c.index(addr)
 	ways := c.setLines(set)
 	for i := range ways {
-		if ways[i].valid && ways[i].tag == tag {
-			ways[i].valid = false
+		if ways[i].lru != 0 && ways[i].tag == tag {
+			ways[i].lru = 0
 			c.stats.Flushes++
 			return
 		}
@@ -169,10 +172,10 @@ func (c *Cache) EvictAt(set uint64, way int) bool {
 		return false
 	}
 	l := &c.lines[int(set)*c.ways+way]
-	if !l.valid {
+	if l.lru == 0 {
 		return false
 	}
-	l.valid = false
+	l.lru = 0
 	c.stats.Evicts++
 	return true
 }
@@ -180,7 +183,7 @@ func (c *Cache) EvictAt(set uint64, way int) bool {
 // FlushAll invalidates every line (used between experiment runs).
 func (c *Cache) FlushAll() {
 	for i := range c.lines {
-		c.lines[i].valid = false
+		c.lines[i].lru = 0
 	}
 }
 

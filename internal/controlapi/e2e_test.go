@@ -584,3 +584,77 @@ func baseOf(t *testing.T, c *client.Client) string {
 	return c.BaseURL()
 }
 
+// TestAttackArtifactsAtomic runs two small attack jobs. The first must
+// leave complete attack.json and manifest.json artifacts and no temporary
+// files. The second finds attack.json blocked by a directory, so its
+// write fails: the job reports the failure, the directory is untouched,
+// and no partial artifact or temporary file is left in the job dir.
+func TestAttackArtifactsAtomic(t *testing.T) {
+	dataDir := t.TempDir()
+	srv, err := controlapi.New(controlapi.Options{DataDir: dataDir, MaxJobs: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(func() {
+		srv.Close()
+		ts.Close()
+	})
+	c := client.New(ts.URL)
+	ctx := context.Background()
+
+	// Exactly the job's own artifacts, and no dot-prefixed temp files.
+	checkDir := func(id string, want ...string) {
+		t.Helper()
+		ents, err := os.ReadDir(filepath.Join(dataDir, id))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var names []string
+		for _, e := range ents {
+			names = append(names, e.Name())
+		}
+		if strings.Join(names, ",") != strings.Join(want, ",") {
+			t.Fatalf("job %s dir holds %v, want %v", id, names, want)
+		}
+	}
+	run := func(id string) (controlapi.JobStatus, error) {
+		st, err := c.Submit(ctx, controlapi.JobSpec{ID: id, Kind: "attack", Reps: 2, Workers: 1, Seed: 3,
+			Variant: "v1-bounds-check", Posture: "dep"})
+		if err != nil {
+			return st, err
+		}
+		return c.WaitDone(ctx, st.ID)
+	}
+
+	final, err := run("atomic-ok")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if final.State != controlapi.StateDone {
+		t.Fatalf("job finished %q (err %q), want done", final.State, final.Error)
+	}
+	checkDir("atomic-ok", "attack.json", "job.log", "manifest.json", "trace.json")
+	for _, name := range []string{"attack.json", "manifest.json"} {
+		raw, err := os.ReadFile(filepath.Join(dataDir, "atomic-ok", name))
+		if err != nil || !json.Valid(raw) {
+			t.Fatalf("%s: valid JSON = %v, err %v", name, json.Valid(raw), err)
+		}
+	}
+
+	blocked := filepath.Join(dataDir, "atomic-blocked", "attack.json")
+	if err := os.MkdirAll(filepath.Join(blocked, "occupied"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	final, err = run("atomic-blocked")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if final.State != controlapi.StateFailed || !strings.Contains(final.Error, "attack.json") {
+		t.Fatalf("blocked job finished %q (err %q), want failed naming attack.json", final.State, final.Error)
+	}
+	if fi, err := os.Stat(blocked); err != nil || !fi.IsDir() {
+		t.Fatalf("failed write replaced the blocking directory: %v", err)
+	}
+	checkDir("atomic-blocked", "attack.json", "job.log", "manifest.json", "trace.json")
+}

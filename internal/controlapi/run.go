@@ -206,7 +206,7 @@ func (s *Server) runAttackJob(ctx context.Context, j *job, spec JobSpec, logf *o
 			variantName, postureName, sum.Successes, reps, sum.Injected)
 		b, err := json.MarshalIndent(sum, "", "  ")
 		if err == nil {
-			err = os.WriteFile(filepath.Join(j.dir, artifactAttack), append(b, '\n'), 0o644)
+			err = telemetry.WriteFileAtomic(filepath.Join(j.dir, artifactAttack), append(b, '\n'), 0o644)
 		}
 		if err != nil {
 			runErr = fmt.Errorf("controlapi: job %s: %w", j.id, err)

@@ -162,7 +162,10 @@ type CPU struct {
 	// icache is the host-side predecode cache (see predecode.go); genTab
 	// is the memory's live per-page write-generation view used for its
 	// coherence check. predecodeOff forces the uncached front end for
-	// differential tests; it must be set before execution starts.
+	// differential tests; it must be set before execution starts. The
+	// icache is the bulk of the struct: its slot count keeps CPU under
+	// Go's 32 KiB small-object limit (TestCPUSize), so New is a cheap
+	// size-class allocation rather than a zeroed large-object span.
 	icache       [icacheSize]icacheEntry
 	genTab       []uint64
 	predecodeOff bool
@@ -181,10 +184,6 @@ type CPU struct {
 	// tel, when non-nil, receives typed micro-architectural events. Every
 	// hook site guards with a single nil check; hooks observe only and
 	// never change timing or architectural state (see package telemetry).
-	// The telemetry fields sit at the very end of the struct so enabling
-	// the feature moved no pre-existing field: the predecode icache's
-	// alignment — which swings throughput by several percent — is exactly
-	// what it was before telemetry existed.
 	tel *telemetry.Recorder
 	// [probeLo,probeHi) is the registered covert-channel probe window:
 	// loads touching it emit KindCovertProbe. [smashLo,smashHi) is the
@@ -195,16 +194,12 @@ type CPU struct {
 
 	// Speculative-store-bypass state (Spectre v4, see ssb.go): stores
 	// whose data register was still in flight at retire, against which a
-	// younger load may speculatively read the stale memory contents. At
-	// the very end of the struct for the same reason as the telemetry
-	// fields: no pre-existing field moves.
+	// younger load may speculatively read the stale memory contents.
 	pendingStores []pendingStore
 	bypasses      uint64 // store-bypass wrong-path episodes launched
 	indirectSpecs uint64 // episodes launched at a BTB-predicted target
 
-	// Block-compilation tier (blockcache.go / blockexec.go). Appended
-	// after every pre-existing field, like the telemetry and SSB state
-	// above: the predecode icache's alignment must not move.
+	// Block-compilation tier (blockcache.go / blockexec.go).
 	blocksOff   bool
 	blkCompiled uint64
 	blkHits     uint64

@@ -24,9 +24,17 @@ import (
 // the underlying bytes did not (a neighbouring store on the same page),
 // the entry is revalidated by byte comparison and re-decoded with
 // isa.DecodeFast — the bytes were already proven canonical.
+//
+// The cache is sized to its traffic, not to the guest's code: the block
+// tier serves almost every retired instruction, so single-step fetches
+// come from block entry, speculation episodes and cold code, and touch a
+// few dozen distinct PCs per run. 256 slots (12 KiB of host state) keep
+// the CPU struct a small object that New allocates cheaply; a conflict
+// between two PCs 4 KiB of code apart only costs a refill (see
+// DESIGN.md §6 for the measured traffic).
 const (
-	icacheBits = 12
-	icacheSize = 1 << icacheBits // 4096 entries = 64 KiB of code
+	icacheBits = 8
+	icacheSize = 1 << icacheBits // 256 entries = 4 KiB of code
 )
 
 // icacheEntry is one direct-mapped predecode slot. The tag is pc+1 so the

@@ -2,6 +2,7 @@ package cpu
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"repro/internal/isa"
@@ -182,5 +183,86 @@ func TestPredecodeStraddlingPCUncached(t *testing.T) {
 	var f *mem.Fault
 	if !errors.As(err, &f) || f.Kind != mem.FaultExec {
 		t.Fatalf("straddling fetch: err = %v, want exec fault", err)
+	}
+}
+
+// TestPredecodeSlotAliasing runs a loop whose two halves sit exactly
+// icacheSize instructions apart, so every instruction of one half shares
+// a direct-mapped predecode slot with its partner in the other and each
+// iteration evicts and refills the same slots. Mid-run an RWX store
+// rewrites the immediate of one aliased instruction. The bare
+// interpreter, the single-step tier and the block tier must agree on
+// architectural state and on the full PMU snapshot.
+func TestPredecodeSlotAliasing(t *testing.T) {
+	const halfA = `
+		movi r1, 0
+		movi r2, 0
+		subi sp, sp, 16
+	loop:
+		addi r1, r1, 1       ; shares a slot with "patched"
+		store [sp], r1
+		load r4, [sp]        ; in-flight value feeds the compare
+		cmpi r4, 40          ; -> unresolved branch, wrong-path episodes
+		jne far
+		store [r7], r6       ; iteration 40: rewrite patched's imm to r6
+		jmp far
+	`
+	const halfB = `
+	far:
+		addi r2, r2, 3
+		addi r3, r3, 1
+		mov r5, r2
+	patched:
+		addi r2, r2, 5
+		add r5, r5, r1
+		cmpi r1, 80
+		jne loop
+		halt
+	`
+	const halfAInstrs = 10
+	src := halfA + strings.Repeat("\t\tnop\n", icacheSize-halfAInstrs) + halfB
+
+	type result struct {
+		regs  [isa.NumRegs]uint64
+		pc    uint64
+		cycle uint64
+		snap  Snapshot
+	}
+	run := func(cfg Config) result {
+		c, img := loadRWX(t, src, cfg)
+		loop, patched := img.Symbols["loop"], img.Symbols["patched"]
+		if patched-loop != icacheSize*isa.InstrSize {
+			t.Fatalf("loop %#x and patched %#x are %d bytes apart, want %d",
+				loop, patched, patched-loop, icacheSize*isa.InstrSize)
+		}
+		c.Regs[7] = patched + 4 // the imm field
+		c.Regs[6] = 1000
+		mustRun(t, c, 1_000_000)
+		return result{c.Regs, c.PC, c.Cycle, c.Snapshot()}
+	}
+	interpCfg, noblocksCfg := DefaultConfig(), DefaultConfig()
+	interpCfg.NoPredecode = true
+	noblocksCfg.NoBlocks = true
+	interp, noblocks, blocks := run(interpCfg), run(noblocksCfg), run(DefaultConfig())
+
+	// Iterations 1..39 add 3+5, iterations 40..80 add 3+1000.
+	if want := uint64(80*3 + 39*5 + 41*1000); noblocks.regs[2] != want {
+		t.Errorf("noblocks r2 = %d, want %d (stale decode of the rewritten instruction?)", noblocks.regs[2], want)
+	}
+	if noblocks.snap.SpecInstructions == 0 {
+		t.Fatal("test program did not speculate; wrong-path refills are not covered")
+	}
+	for _, tier := range []struct {
+		name string
+		r    result
+	}{{"interp", interp}, {"blocks", blocks}} {
+		if tier.r.regs != noblocks.regs || tier.r.pc != noblocks.pc || tier.r.cycle != noblocks.cycle {
+			t.Errorf("%s vs noblocks: regs %v vs %v, pc %#x vs %#x, cycle %d vs %d", tier.name,
+				tier.r.regs, noblocks.regs, tier.r.pc, noblocks.pc, tier.r.cycle, noblocks.cycle)
+		}
+		if tier.r.snap != noblocks.snap {
+			t.Errorf("%s vs noblocks PMU snapshots diverge:\n  %s: %+v\n  noblocks: %+v",
+				tier.name, tier.name, tier.r.snap, noblocks.snap)
+		}
 	}
 }

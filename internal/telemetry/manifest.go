@@ -196,7 +196,35 @@ func (m *Manifest) WriteFile(path string) error {
 			return err
 		}
 	}
-	return os.WriteFile(path, b, 0o644)
+	return WriteFileAtomic(path, b, 0o644)
+}
+
+// WriteFileAtomic writes data to path through a temporary file in the
+// same directory and a rename, so path never holds a torn file: a reader,
+// or a process killed mid-write, sees either the previous contents or all
+// of data. It does not fsync, so it orders nothing against power loss. On
+// any failure the temporary file is removed and path is left untouched.
+func WriteFileAtomic(path string, data []byte, perm os.FileMode) error {
+	f, err := os.CreateTemp(filepath.Dir(path), "."+filepath.Base(path)+".tmp*")
+	if err != nil {
+		return err
+	}
+	tmp := f.Name()
+	_, err = f.Write(data)
+	if err == nil {
+		err = f.Chmod(perm)
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
+		_ = os.Remove(tmp) // best effort: the write already failed
+		return err
+	}
+	return nil
 }
 
 // ReadManifest loads a manifest written by WriteFile.

@@ -11,7 +11,7 @@ var machineSink *Machine
 // tables and the core's fixed-size structures, not for 16 MiB of guest
 // memory it has not touched yet.
 func TestNewAllocationBudget(t *testing.T) {
-	const budget = 1 << 20
+	const budget = 256 << 10
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	const runs = 5
