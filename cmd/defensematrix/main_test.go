@@ -1,6 +1,8 @@
 package main
 
 import (
+	"crypto/sha256"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -73,5 +75,39 @@ func TestRunBadFlagAndUnwritableDir(t *testing.T) {
 	}
 	if err := run([]string{"-csv", filepath.Join(t.TempDir(), "missing", "deeper")}, &out); err == nil {
 		t.Error("unwritable csv dir accepted")
+	}
+}
+
+// TestGridDigests pins the -csv grids across commits: at the default
+// seed (11) both files must hash to the digests checked in under
+// testdata — the same file CI verifies with sha256sum -c against the
+// committed results/ and a fresh run. A deliberate grid change
+// re-baselines it.
+func TestGridDigests(t *testing.T) {
+	pin, err := os.ReadFile(filepath.Join("testdata", "grids-seed11.sha256"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	var out strings.Builder
+	if err := run([]string{"-csv", dir}, &out); err != nil {
+		t.Fatalf("run -csv: %v\n%s", err, out.String())
+	}
+	lines := strings.Split(strings.TrimSpace(string(pin)), "\n")
+	if len(lines) != 2 {
+		t.Fatalf("digest file has %d lines, want one per grid", len(lines))
+	}
+	for _, line := range lines {
+		fields := strings.Fields(line)
+		if len(fields) != 2 {
+			t.Fatalf("digest line is not a sha256sum line: %q", line)
+		}
+		blob, err := os.ReadFile(filepath.Join(dir, fields[1]))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256(blob)); got != fields[0] {
+			t.Errorf("%s sha256 %s, pinned %s", fields[1], got, fields[0])
+		}
 	}
 }

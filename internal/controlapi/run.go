@@ -182,9 +182,12 @@ func (s *Server) runAttackJob(ctx context.Context, j *job, spec JobSpec, logf *o
 
 	tctx := telemetry.WithRegistry(telemetry.NewContext(ctx, j.rec), j.reg)
 	tctx = sched.WithPool(tctx, j.tracker.Pool("attack"))
+	// One trial per job: the reps share the assembled host and attack
+	// binaries and differ only in their derived seed.
+	trial := defense.NewTrial(posture, atk)
 	outcomes, runErr := sched.Map(tctx, workers, reps,
 		func(_ context.Context, i int) (defense.Outcome, error) {
-			return defense.Evaluate(posture, atk, sched.DeriveSeed(seed, uint64(i)))
+			return trial.Run(sched.DeriveSeed(seed, uint64(i)))
 		})
 
 	if runErr == nil {

@@ -46,7 +46,7 @@ type JobSpec struct {
 	// Kind selects the workload: a campaign section ("fig4", "fig5",
 	// "fig6", "table1") run through experiments.RunCampaign, or
 	// "attack" — repetitions of the end-to-end injection chain under a
-	// named defense posture (defense.Evaluate).
+	// named defense posture (one defense.Trial per job).
 	Kind string `json:"kind"`
 	// Seed drives every stochastic component (default 1, like the CLIs).
 	Seed int64 `json:"seed,omitempty"`

@@ -4,15 +4,18 @@
 // speculation defenses of §I (InvisiSpec-style fill rollback, full
 // fencing), and the §IV countermeasures (privileged CLFLUSH/MFENCE).
 // Evaluate runs the full injection + leak chain under one Posture and
-// reports exactly where — if anywhere — it broke.
+// reports exactly where — if anywhere — it broke; a Trial runs the same
+// chain for many seeds, sharing the assembled binaries.
 package defense
 
 import (
 	"errors"
 	"fmt"
+	"sync"
 
 	"repro/internal/cpu"
 	"repro/internal/gadget"
+	"repro/internal/isa"
 	"repro/internal/mibench"
 	"repro/internal/perturb"
 	"repro/internal/rop"
@@ -134,12 +137,86 @@ type Outcome struct {
 // Secret is the value planted in the host for Evaluate runs.
 const Secret = "S3CR3T_K3Y"
 
+// hostBase is the host's preferred (unslid) load base.
+const hostBase = 0x100000
+
+// hostPlain and hostCanary assemble the Math(150) host once per canary
+// setting, for the life of the process: it depends on nothing else a
+// posture or attacker sets, so the pair is bounded by construction.
+// Modules are immutable once assembled (Link copies code and data), so
+// every machine and every goroutine may share them.
+var (
+	hostPlain  = sync.OnceValues(func() (*isa.Module, error) { return assembleHost(false) })
+	hostCanary = sync.OnceValues(func() (*isa.Module, error) { return assembleHost(true) })
+)
+
+func assembleHost(canary bool) (*isa.Module, error) {
+	return mibench.Math(150).HostModule(rop.HostOptions{Canary: canary, Secret: Secret})
+}
+
+func hostModule(canary bool) (*isa.Module, error) {
+	if canary {
+		return hostCanary()
+	}
+	return hostPlain()
+}
+
+// Trial is one (posture, attacker) pair prepared for repeated runs: the
+// shape of a crspectred attack job, whose reps differ only in seed. It
+// shares what the reps would otherwise rebuild identically — the host
+// module (package-wide) and the attack module planned against the
+// unslid host base (once per trial). A rep whose attacker plans against
+// a different base (an ASLR slide recovered through LeakLayout)
+// assembles its own attack module and drops it with the rep, so a trial
+// retains at most one attack module whatever its seeds. Run is safe for
+// concurrent use.
+type Trial struct {
+	p   Posture
+	atk Attacker
+
+	attackOnce sync.Once
+	attackCfg  spectre.Config // the config attackMod was assembled from
+	attackMod  *isa.Module
+	attackErr  error
+}
+
+// NewTrial prepares the attack chain for posture p and attacker atk.
+// Nothing is assembled until the first Run.
+func NewTrial(p Posture, atk Attacker) *Trial {
+	return &Trial{p: p, atk: atk}
+}
+
 // Evaluate runs the attack chain under the posture with the given
 // attacker capabilities and reports the outcome. Deterministic under
-// seed.
+// seed. It is NewTrial(p, atk).Run(seed); callers repeating one pair
+// over many seeds should keep the Trial.
 func Evaluate(p Posture, atk Attacker, seed int64) (Outcome, error) {
-	host := mibench.Math(150)
-	hostMod, err := host.HostModule(rop.HostOptions{Canary: p.Canary, Secret: Secret})
+	return NewTrial(p, atk).Run(seed)
+}
+
+// attackModule returns the attack binary for cfg: the trial's shared
+// module when cfg targets the unslid host base, else a fresh one the
+// caller does not retain beyond its rep.
+func (t *Trial) attackModule(cfg spectre.Config, planBase uint64) (*isa.Module, error) {
+	if planBase == hostBase {
+		t.attackOnce.Do(func() {
+			t.attackCfg = cfg
+			t.attackMod, t.attackErr = cfg.Module()
+		})
+		// Every unslid rep derives the same config; the check keeps a
+		// divergent one from silently running another rep's binary.
+		if t.attackCfg == cfg {
+			return t.attackMod, t.attackErr
+		}
+	}
+	return cfg.Module()
+}
+
+// Run evaluates one rep of the trial under seed. It returns exactly
+// what Evaluate(p, atk, seed) does.
+func (t *Trial) Run(seed int64) (Outcome, error) {
+	p, atk := t.p, t.atk
+	hostMod, err := hostModule(p.Canary)
 	if err != nil {
 		return Outcome{}, err
 	}
@@ -154,7 +231,7 @@ func Evaluate(p Posture, atk Attacker, seed int64) (Outcome, error) {
 	cfg.CPU.SpeculationEnabled = !p.NoSpeculation
 	cfg.CPU.DisableStoreBypass = p.SSBD
 	m := vm.New(cfg)
-	m.Register("host", hostMod, 0x100000)
+	m.Register("host", hostMod, hostBase)
 	hostImg, err := m.Load("host")
 	if err != nil {
 		return Outcome{}, err
@@ -172,7 +249,7 @@ func Evaluate(p Posture, atk Attacker, seed int64) (Outcome, error) {
 	// preferred (unslid) addresses and no canary. With leaks they run
 	// the host's verbose diagnostics input and parse the echoed stale
 	// stack words — the bypass is executed, not assumed.
-	planBase := uint64(0x100000)
+	planBase := uint64(hostBase)
 	var leakedCanary *uint64
 	if atk.LeakLayout || atk.LeakCanary {
 		leak, err := rop.LeakViaDebug(m, "host", 100_000_000)
@@ -206,7 +283,7 @@ func Evaluate(p Posture, atk Attacker, seed int64) (Outcome, error) {
 	if atk.Perturb {
 		attCfg.PerturbAsm = perturb.Paper().Asm()
 	}
-	attMod, err := attCfg.Module()
+	attMod, err := t.attackModule(attCfg, planBase)
 	if err != nil {
 		return Outcome{}, err
 	}

@@ -84,7 +84,7 @@ type Machine struct {
 	CPU *cpu.CPU
 
 	cfg      Config
-	rng      *rand.Rand
+	rng      *rand.Rand // nil unless cfg.ASLR
 	stackTop uint64
 	arglen   uint64
 
@@ -121,9 +121,13 @@ func New(cfg Config) *Machine {
 	m := &Machine{
 		Mem:      mem.New(cfg.MemSize),
 		cfg:      cfg,
-		rng:      rand.New(rand.NewSource(cfg.ASLRSeed)),
 		binaries: map[string]registered{},
 		images:   map[string]*isa.Image{},
+	}
+	// A seeded math/rand source allocates ~5 KB; only slide() reads
+	// it, and only with ASLR on.
+	if cfg.ASLR {
+		m.rng = rand.New(rand.NewSource(cfg.ASLRSeed))
 	}
 	m.CPU = cpu.New(m.Mem, cfg.CPU)
 	m.CPU.OnSyscall = m.syscall
